@@ -16,12 +16,22 @@ Each virtual client ``c`` owns a deterministic arrival process whose
 (:mod:`repro.workloads.streams` — no per-client RNG objects, no hidden
 state).  A population of N clients is then driven by **one generator
 process per (client-host, class) bucket**: the bucket keeps a binary
-heap of ``(next_arrival, client)`` pairs and repeatedly pops the
-earliest arrival, sleeps to its absolute timestamp, stamps the request
-with the virtual client id, and pushes the client's next arrival.
-Scheduling is O(log N) per *request* — idle clients cost one heap slot,
-not a parked coroutine — so a million-user population runs at the speed
-of its aggregate request rate.
+heap of ``(next_arrival, client, state)`` entries and repeatedly pops
+the earliest arrival, sleeps to its absolute timestamp, stamps the
+request with the virtual client id, and pushes the client's next
+arrival.  Scheduling is O(log N) per *request*, so a million-user
+population runs at the speed of its aggregate request rate.
+
+Set-up is O(N) in numpy plus O(arriving clients) in Python.  Each
+arrival class has a conservative, vectorized first-arrival prefilter
+(``may_arrive``, evaluated with :func:`~repro.workloads.streams.u01_array`
+over chunks of client ids): it rules out only clients whose first
+arrival certainly lands at or past the horizon.  The survivors go
+through the same scalar ``step`` the reference engine uses, which alone
+decides ``t < horizon``, so the heaped set is exactly the scalar one.
+Clients that never arrive inside the horizon hold no heap slot and no
+per-client state; the per-client request counters exist only for
+clients that have issued.
 
 Exactness guarantee
 -------------------
@@ -31,11 +41,12 @@ one-coroutine-per-client engine would: :func:`run_open_loop` (heap
 merge) and :func:`run_open_loop_reference` (explicit coroutines)
 produce **byte-identical request schedules** — and therefore identical
 completions — for any spec; ``tests/test_openloop.py`` proves it at
-N ∈ {1, 4, 32}.  Both engines sleep with ``timeout_at(t)`` (absolute
-time), so no floating-point re-accumulation can skew a wake-up, and
-arrival timestamps are continuous draws, so cross-client ties (where
-the two engines' heap tie-breaks could differ) occur with probability
-zero.
+N ∈ {1, 4, 32} with every client active, and at N = 2,000 with fewer
+than 10% of the clients arriving, where the prefilter rejects the
+rest.  Both engines sleep with ``timeout_at(t)`` (absolute time), so no
+floating-point re-accumulation can skew a wake-up, and arrival
+timestamps are continuous draws, so cross-client ties (where the two
+engines' heap tie-breaks could differ) occur with probability zero.
 
 Arrival processes (per client)
 ------------------------------
@@ -52,11 +63,15 @@ Arrival processes (per client)
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+
+import numpy as np
+import numpy.typing as npt
 
 from ..simnet.engine import Event
 from .streams import (
@@ -69,6 +84,7 @@ from .streams import (
     lognormal,
     pareto,
     u01,
+    u01_array,
 )
 
 __all__ = [
@@ -246,22 +262,42 @@ def sample_size(u: float, s: SizeSpec) -> int:
 
 
 # ------------------------------------------------------- arrival steppers
-def _make_stepper(
-    a: ArrivalSpec, seed: int, horizon_ns: float
-) -> Tuple[Any, Callable[..., Tuple[float, Any]]]:
-    """Build ``(init_state, step)`` for one arrival class.
+_Ids = npt.NDArray[np.uint64]
+_Mask = npt.NDArray[np.bool_]
+#: relative slack of the first-arrival prefilter thresholds: orders of
+#: magnitude above the few-ulp error of ``log``/``pow``/``exp``, so the
+#: prefilter can only ever admit too many clients, never too few
+_PREFILTER_SLACK = 1.0 - 1e-9
+#: ``(init_state, step, may_arrive)`` of one arrival class
+_Stepper = Tuple[Any, Callable[..., Tuple[float, Any]], Optional[Callable[[_Ids], _Mask]]]
+
+
+def _make_stepper(a: ArrivalSpec, seed: int, horizon_ns: float) -> _Stepper:
+    """Build ``(init_state, step, may_arrive)`` for one arrival class.
 
     ``step(cid, t_prev, st) -> (t_next, st')`` is a pure function of its
     arguments — the shared core both engines consume, and the reason
     their schedules are byte-identical.  ``t_next`` may exceed the
     horizon, which both engines treat as "this client is done".
+
+    ``may_arrive(cids)`` is a vectorized, conservative prefilter for the
+    first arrival: it is False only for clients whose first ``step``
+    certainly lands at or past the horizon.  It may admit clients that
+    ``step`` then rejects, so the exact ``t < horizon`` test stays with
+    ``step``.  ``None`` means every client is a candidate.
     """
     rate = a.rate_hz
     if a.kind == "poisson":
         def step(cid: int, t_prev: float, k: int) -> Tuple[float, int]:
             return t_prev + exp_gap(u01(seed, cid, k, TAG_GAP), rate), k + 1
 
-        return 0, step
+        # -log(u)/rate*1e9 < horizon  <=>  u > exp(-horizon*rate/1e9)
+        u_gap = math.exp(-max(horizon_ns, 0.0) * rate / 1e9) * _PREFILTER_SLACK
+
+        def may_arrive(cids: _Ids) -> _Mask:
+            return u01_array(seed, cids, 0, TAG_GAP) > u_gap
+
+        return 0, step, may_arrive
 
     if a.kind == "onoff":
         on_alpha, on_min = a.on_alpha, a.on_min_ns
@@ -289,7 +325,15 @@ def _make_stepper(
                 if t > horizon_ns:
                     return t, (k, on_end)  # past the end: caller stops
 
-        return (0, -1.0), step
+        # the first arrival comes after the first OFF gap, and
+        # off_min*u^(-1/off_alpha) < horizon  <=>  u > (off_min/horizon)^off_alpha
+        ratio = off_min / horizon_ns if horizon_ns > off_min else 1.0
+        u_off = ratio ** off_alpha * _PREFILTER_SLACK
+
+        def may_arrive(cids: _Ids) -> _Mask:
+            return u01_array(seed, cids, 0, TAG_STATE) > u_off
+
+        return (0, -1.0), step, may_arrive
 
     # burst: state is the next burst index to consider
     period, jitter, join = a.burst_period_ns, a.burst_jitter_ns, a.burst_join
@@ -303,7 +347,7 @@ def _make_stepper(
             b += 1
         return float("inf"), b
 
-    return 0, step
+    return 0, step, None
 
 
 def _class_tables(
@@ -329,6 +373,44 @@ def _class_of(seed: int, cid: int, cum: List[float]) -> int:
     if len(cum) == 1:
         return 0
     return bisect_right(cum, u01(seed, cid, 0, TAG_CLASS))
+
+
+#: client ids per vectorized first-arrival pass: keeps the transient
+#: numpy arrays to a few hundred KiB at any population size
+_CHUNK = 1 << 16
+
+
+def _first_arrivals(
+    spec: OpenLoopSpec, steppers: List[_Stepper], cum: List[float]
+) -> List[List[Tuple[float, int, Any]]]:
+    """Per class, ``(t, cid, state)`` for every client whose first
+    arrival ``t`` lies before the horizon, in ascending ``cid`` order.
+
+    Class draws and the ``may_arrive`` prefilters run over chunks of
+    client ids in numpy; only the survivors go through the scalar
+    ``step``, which alone decides ``t < horizon``.  Clients that never
+    arrive cost a few vectorized operations and leave no state behind.
+    """
+    horizon = spec.horizon_ns
+    cum_arr = np.asarray(cum)
+    out: List[List[Tuple[float, int, Any]]] = [[] for _ in steppers]
+    for lo in range(0, spec.n_users, _CHUNK):
+        ids = np.arange(lo, min(lo + _CHUNK, spec.n_users), dtype=np.uint64)
+        cls_ids = None
+        if len(cum) > 1:
+            # bisect_right(cum, u) of _class_of, per client
+            u_cls = u01_array(spec.seed, ids, 0, TAG_CLASS)
+            cls_ids = np.searchsorted(cum_arr, u_cls, side="right")
+        for cls, (init, step, may_arrive) in enumerate(steppers):
+            cand = ids if cls_ids is None else ids[cls_ids == cls]
+            if may_arrive is not None:
+                cand = cand[may_arrive(cand)]
+            first = out[cls]
+            for cid in cand.tolist():
+                t, st = step(cid, 0.0, init)
+                if t < horizon:
+                    first.append((t, cid, st))
+    return out
 
 
 # ---------------------------------------------------------------- results
@@ -404,7 +486,8 @@ class _Run:
         self.steppers = [
             _make_stepper(a, spec.seed, spec.horizon_ns) for a in arrivals
         ]
-        self.reqno = [0] * spec.n_users
+        #: requests issued so far, only for clients that have issued
+        self.reqno: Dict[int, int] = {}
         self.issued = 0
         self.ops = 0
         self.failures = 0
@@ -425,7 +508,7 @@ class _Run:
 
     # ---------------------------------------------------------- hot path
     def issue_one(self, cid: int, t: float, cls: int) -> None:
-        n = self.reqno[cid]
+        n = self.reqno.get(cid, 0)
         self.reqno[cid] = n + 1
         u_obj = u01(self.spec.seed, cid, n, TAG_OBJ)
         obj = self.zipf.pick(u_obj)
@@ -504,7 +587,7 @@ class _Run:
             elapsed_ns=self.ksim.now - self.t0,
             latency=summarize(self.latencies),
             inflight_peak=self.inflight_peak,
-            active_users=sum(1 for n in self.reqno if n),
+            active_users=len(self.reqno),
             schedule_digest=self.digest.hexdigest(),
             obj_counts=self.obj_counts,
             quiesced=quiesced,
@@ -532,42 +615,31 @@ def run_open_loop(
     ksim = run.ksim
     k_buckets = n_buckets or max(len(getattr(testbed, "clients", [])) or 1, 1)
     k_buckets = min(k_buckets, spec.n_users)
-    n_classes = len(run.class_names)
     horizon = spec.horizon_ns
     t0 = run.t0
 
-    # per-client arrival state + class, resolved once up front
-    cls_of = [0] * spec.n_users if n_classes == 1 else [
-        _class_of(spec.seed, cid, run.class_cum) for cid in range(spec.n_users)
-    ]
-    states: List = [None] * spec.n_users
+    # first arrivals, bucketed: clients whose first arrival lies beyond
+    # the horizon never enter a heap.  A heap entry carries the client's
+    # arrival state; (t, cid) is unique, so the state is never compared
+    heaps: Dict[Tuple[int, int], List[Tuple[float, int, Any]]] = {}
+    firsts = _first_arrivals(spec, run.steppers, run.class_cum)
+    for cls, first in enumerate(firsts):
+        for entry in first:
+            heaps.setdefault((entry[1] % k_buckets, cls), []).append(entry)
 
-    # first arrivals, bucketed: clients whose first arrival already lies
-    # beyond the horizon consume their draw but never enter a heap
-    heaps: Dict[Tuple[int, int], List[Tuple[float, int]]] = {}
-    for cid in range(spec.n_users):
-        cls = cls_of[cid]
-        init, step = run.steppers[cls]
-        t, st = step(cid, 0.0, init)
-        if t < horizon:
-            states[cid] = st
-            heaps.setdefault((cid % k_buckets, cls), []).append((t, cid))
-
-    def _generator(heap: List[Tuple[float, int]]) -> Generator:
+    def _generator(heap: List[Tuple[float, int, Any]], cls: int) -> Generator:
+        step = run.steppers[cls][1]
         heapify(heap)
         while heap:
-            t, cid = heappop(heap)
+            t, cid, st = heappop(heap)
             yield ksim.timeout_at(t0 + t)
-            cls = cls_of[cid]
             run.issue_one(cid, t0 + t, cls)
-            step = run.steppers[cls][1]
-            t2, st2 = step(cid, t, states[cid])
+            t2, st2 = step(cid, t, st)
             if t2 < horizon:
-                states[cid] = st2
-                heappush(heap, (t2, cid))
+                heappush(heap, (t2, cid, st2))
 
     procs = [
-        ksim.process(_generator(heap), name=f"openloop.b{b}.{run.class_names[c]}")
+        ksim.process(_generator(heap, c), name=f"openloop.b{b}.{run.class_names[c]}")
         for (b, c), heap in sorted(heaps.items())
     ]
     return run.finish(procs)
@@ -593,7 +665,7 @@ def run_open_loop_reference(
 
     def _client(cid: int) -> Generator:
         cls = _class_of(spec.seed, cid, run.class_cum)
-        init, step = run.steppers[cls]
+        init, step, _ = run.steppers[cls]
         t, st = step(cid, 0.0, init)
         while t < horizon:
             yield ksim.timeout_at(t0 + t)

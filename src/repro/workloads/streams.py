@@ -22,6 +22,12 @@ any order, which is the exactness guarantee the aggregation relies on.
 
 All uniforms land in the *open* interval (0, 1): the transforms below
 take logs and reciprocals, and an exact 0.0 or 1.0 must be impossible.
+
+:func:`u01_array` evaluates the same function over an array of client
+ids with wrapping ``uint64`` numpy arithmetic.  It is bit-identical to
+:func:`u01` (``tests/test_openloop.py`` checks the bit patterns), so a
+vectorized pass over a whole population draws exactly the numbers the
+scalar path would.
 """
 
 from __future__ import annotations
@@ -29,8 +35,12 @@ from __future__ import annotations
 import math
 from statistics import NormalDist
 
+import numpy as np
+import numpy.typing as npt
+
 __all__ = [
     "u01",
+    "u01_array",
     "exp_gap",
     "pareto",
     "lognormal",
@@ -72,6 +82,39 @@ def u01(seed: int, client: int, k: int, tag: int) -> float:
     # map to (0, 1): use the top 53 bits, then nudge 0 to the smallest
     # representable draw so log()/reciprocal transforms never see 0
     return ((z >> 11) + 0.5) * (1.0 / (1 << 53))
+
+
+_U64 = np.uint64
+_C30, _C27, _C31, _C11 = _U64(30), _U64(27), _U64(31), _U64(11)
+_M1, _M2 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+
+
+def _mix_array(z: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """:func:`_mix` over a ``uint64`` array, in place: numpy's
+    ``uint64`` multiply wraps modulo 2**64 exactly like ``& _MASK``."""
+    z ^= z >> _C30
+    z *= _M1
+    z ^= z >> _C27
+    z *= _M2
+    z ^= z >> _C31
+    return z
+
+
+def u01_array(
+    seed: int, clients: npt.NDArray[np.uint64], k: int, tag: int
+) -> npt.NDArray[np.float64]:
+    """:func:`u01` for every client id in ``clients`` (a ``uint64``
+    array), bit-identical to the scalar draws."""
+    z = clients + _U64((seed * _GAMMA) & _MASK)
+    z = _mix_array(z)
+    z += _U64((k * _GAMMA + tag) & _MASK)
+    z = _mix_array(z)
+    # (z >> 11) < 2**53 converts exactly; "+ 0.5" then rounds exactly as
+    # the scalar int + float sum does, and the power-of-two scale is exact
+    u = (z >> _C11).astype(np.float64)
+    u += 0.5
+    u *= 1.0 / (1 << 53)
+    return u
 
 
 def exp_gap(u: float, rate_hz: float) -> float:

@@ -2,8 +2,12 @@
 samplers, and the payload cache."""
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dfs.cluster import build_testbed
 from repro.workloads import payload_bytes
@@ -15,10 +19,21 @@ from repro.workloads.openloop import (
     SizeSpec,
     WorkloadClass,
     ZipfSampler,
+    _class_tables,
+    _first_arrivals,
+    _make_stepper,
     open_loop_write_load,
     sample_size,
 )
-from repro.workloads.streams import TAG_GAP, TAG_OBJ, u01
+from repro.workloads.streams import (
+    TAG_CLASS,
+    TAG_GAP,
+    TAG_OBJ,
+    TAG_SIZE,
+    TAG_STATE,
+    u01,
+    u01_array,
+)
 
 
 # ------------------------------------------------------------------ streams
@@ -31,6 +46,22 @@ def test_u01_open_interval_and_pure():
     assert u01(3, 7, 11, TAG_GAP) != u01(3, 7, 11, TAG_OBJ)
     # roughly uniform: the mean of 1000 draws is near 1/2
     assert abs(sum(vals) / len(vals) - 0.5) < 0.05
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1)),
+    cids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16),
+    k=st.one_of(st.integers(0, 64), st.integers(0, 2**64 - 1)),
+    tag=st.sampled_from([TAG_GAP, TAG_OBJ, TAG_SIZE, TAG_STATE, TAG_CLASS]),
+)
+def test_u01_array_bit_identical_to_scalar(seed, cids, k, tag):
+    """The vectorized draw reproduces the scalar draw bit for bit."""
+    vec = u01_array(seed, np.array(cids, dtype=np.uint64), k, tag)
+    ref = np.array([u01(seed, c, k, tag) for c in cids], dtype=np.float64)
+    assert vec.dtype == np.float64
+    assert (vec.view(np.uint64) == ref.view(np.uint64)).all()
 
 
 def test_zipf_sampler_skew_and_bounds():
@@ -179,6 +210,96 @@ def test_workload_classes_differential():
     assert a.latency == b.latency
     # both class sizes actually occur
     assert a.bytes % 2048 != 0 or a.bytes >= 8192
+
+
+SPARSE_USERS = 2000
+
+
+def _sparse_spec(kind: str) -> OpenLoopSpec:
+    """~5% of SPARSE_USERS clients arrive inside the 1 ms horizon, so
+    most of the population is rejected before its first ``step``."""
+    arrivals = {
+        "poisson": ArrivalSpec(kind="poisson", rate_hz=50.0),
+        # P(first OFF gap < horizon) = 1 - 0.95**1.5, about 7%
+        "onoff": ArrivalSpec(kind="onoff", rate_hz=20_000.0,
+                             on_min_ns=100_000.0, off_min_ns=950_000.0),
+        # bursts at 0, 0.4 and 0.8 ms, each joined with p = 0.02
+        "burst": ArrivalSpec(kind="burst", burst_period_ns=400_000.0,
+                             burst_jitter_ns=20_000.0, burst_join=0.02),
+    }
+    classes = ()
+    if kind == "classes":
+        classes = (
+            WorkloadClass("steady", 0.6, arrival=arrivals["poisson"]),
+            WorkloadClass("bursty", 0.4, arrival=arrivals["onoff"],
+                          size=SizeSpec(dist="fixed", fixed_bytes=8192)),
+        )
+    return OpenLoopSpec(
+        n_users=SPARSE_USERS,
+        arrival=arrivals.get(kind, arrivals["poisson"]),
+        popularity=PopularitySpec(n_objects=32, alpha=1.2),
+        size=SizeSpec(dist="lognormal", median_bytes=4096, sigma=0.6,
+                      min_bytes=1024, max_bytes=8192),
+        classes=classes,
+        warmup_ns=100_000.0,
+        measure_ns=900_000.0,
+        seed=13,
+    )
+
+
+@pytest.mark.parametrize("kind", ["poisson", "onoff", "burst", "classes"])
+def test_sparse_population_matches_explicit(kind):
+    """The exactness gate where the first-arrival prefilter does the
+    work: fewer than 10% of the clients ever arrive."""
+    spec = _sparse_spec(kind)
+
+    def go(engine):
+        tb = build_testbed(n_storage=4, n_clients=2)
+        res, nodes = open_loop_write_load(tb, spec, protocol="raw", engine=engine)
+        tb.finish()
+        return res, nodes
+
+    (a, na), (b, nb) = go("aggregated"), go("explicit")
+    assert 0 < a.active_users < SPARSE_USERS // 10
+    assert a.schedule_digest == b.schedule_digest
+    assert a.issued == b.issued
+    assert a.latency == b.latency
+    assert a.obj_counts == b.obj_counts
+    assert a.active_users == b.active_users
+    assert na == nb
+
+
+@pytest.mark.parametrize("kind", ["poisson", "onoff"])
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+def test_first_arrival_at_horizon_edge(kind, ulps):
+    """The client with the earliest first arrival, its arrival a few ulps
+    from the horizon, is heaped exactly when the scalar ``step`` puts it
+    before the horizon.  For ``onoff`` the ON-phase rate is so high that
+    the first arrival follows the first OFF gap within picoseconds, so
+    the horizon also sits right at the prefilter's threshold."""
+    arrival = ArrivalSpec(kind=kind, rate_hz=2000.0 if kind == "poisson" else 1e12,
+                          on_min_ns=400_000.0, off_min_ns=20_000.0)
+    n_users, seed = 64, 3
+    init, step, _ = _make_stepper(arrival, seed, 1e9)
+    t_first, cid = min((step(c, 0.0, init)[0], c) for c in range(n_users))
+    horizon = t_first
+    for _ in range(abs(ulps)):
+        horizon = math.nextafter(horizon, math.copysign(math.inf, ulps))
+    spec = OpenLoopSpec(n_users=n_users, arrival=arrival, measure_ns=horizon,
+                        seed=seed)
+    init, step, _ = _make_stepper(arrival, seed, spec.horizon_ns)
+    expect = [cid] if step(cid, 0.0, init)[0] < spec.horizon_ns else []
+    assert bool(expect) == (ulps > 0)  # the scalar path itself sits on the edge
+
+    _, cum, arrivals, _ = _class_tables(spec)
+    steppers = [_make_stepper(a, seed, spec.horizon_ns) for a in arrivals]
+    heaped = [c for first in _first_arrivals(spec, steppers, cum)
+              for _, c, _ in first]
+    assert heaped == expect
+    tb = build_testbed(n_storage=2, n_clients=1)
+    res, _ = open_loop_write_load(tb, spec, protocol="raw", record=True)
+    tb.finish()
+    assert [e[1] for e in res.schedule] == expect
 
 
 def test_quiet_client_beyond_horizon():
