@@ -232,8 +232,9 @@ PY
 
 echo
 echo "== simulator perf guard (vs committed BENCH_simulator.json) =="
-# wide 30% wall-clock tolerance absorbs CI machine noise; the
-# events-per-packet count is deterministic and capped at +5%
+# wide 30% wall-clock tolerance absorbs CI machine noise; events per
+# packet (pipeline) and per issued request (workload) are deterministic
+# and capped at +5%
 python -m repro perf --check BENCH_simulator.json --tolerance 0.30
 
 echo

@@ -366,6 +366,9 @@ class PsPinAccelerator:
         self.nacks_sent = 0
         self._queued = 0
         self._cleanup_proc = None
+        #: set while the cleanup sweeper is parked on an empty run table;
+        #: the first new run fires it (see _cleanup_sweeper)
+        self._sweep_wake: Optional[Event] = None
         #: active paced packet train, if any (see ingest_train)
         self._train: Optional[_AccelTrain] = None
         #: issue time of the handler currently being replayed by a train
@@ -393,6 +396,11 @@ class PsPinAccelerator:
                 "proc:_train_cont_hpu",
                 "proc:_pipeline",
             )
+            # a sweep touches only this accelerator and its DfsState, so
+            # the sweepers of different nodes commute: re-armed at
+            # different instants, they land on the same polling-grid
+            # ticks by construction
+            san.declare_coincident(f"proc:{node_name}.cleanup")
 
     def _egress_pump(self):
         """Drain the handler egress queue at line rate (one in-flight
@@ -539,6 +547,10 @@ class PsPinAccelerator:
             self._next_cluster = (self._next_cluster + 1) % p.n_clusters
             run = _MessageRun(sim, pkt.msg_id, ctx, cluster)
             self._runs[pkt.msg_id] = run
+            wake = self._sweep_wake
+            if wake is not None:
+                self._sweep_wake = None
+                wake.succeed()
         if run.trace is None and pkt.trace is not None:
             run.trace = pkt.trace
         run.expected = pkt.nseq
@@ -1204,12 +1216,34 @@ class PsPinAccelerator:
     # ------------------------------------------------------------- cleanup
     def _cleanup_sweeper(self):
         """Fire cleanup handlers for messages inactive beyond the
-        timeout (§VII: clients failing mid-write leave dangling state)."""
+        timeout (§VII: clients failing mid-write leave dangling state).
+
+        Sweeps land on the grid of a loop polling every ``timeout / 2``
+        (each sweep's successor one period after the sweep ends), but
+        only grid points that can find a stale run are dispatched.  With
+        no message live the sweeper parks until ``_pipeline_front``
+        opens the next run; otherwise it sleeps until the first grid
+        point at which the oldest live run could be stale.  Activity
+        after arming only delays that point, so an early wake finds
+        nothing stale and re-arms — as the polling loop found there.
+        """
         sim = self.sim
-        period = self.params.cleanup_timeout_ns / 2
+        timeout = self.params.cleanup_timeout_ns
+        period = timeout / 2
+        origin = sim.now
         while True:
-            yield sim.timeout(period)
-            deadline = sim.now - self.params.cleanup_timeout_ns
+            if not self._runs:
+                self._sweep_wake = wake = sim.event(name=f"{self.node_name}.cleanup-wake")
+                yield wake
+                continue
+            oldest = min(run.last_activity for run in self._runs.values())
+            # repeated addition, not origin + k * period: bit-identical
+            # to the polling loop's chain of ``now + period`` timeouts
+            tick = origin + period
+            while tick - timeout < oldest:
+                tick += period
+            yield sim.timeout_at(tick)
+            deadline = sim.now - timeout
             stale = [
                 run
                 for run in self._runs.values()
@@ -1217,26 +1251,25 @@ class PsPinAccelerator:
             ]
             for run in stale:
                 yield from self._exec_cleanup(run)
+            origin = sim.now
 
     def _exec_cleanup(self, run: _MessageRun):
         handler = run.ctx.handlers.cleanup
-        if handler is None:
-            self._finish(run)
-            return
-        sim = self.sim
-        cluster = self.clusters[run.cluster]
-        req = cluster.hpus.request()
-        yield req
-        t0 = sim.now
-        try:
-            cost = handler.cost(run.task, None)
-            yield sim.timeout(cost.compute_ns(self.params.freq_ghz))
-            gen = handler.run(HandlerApi(self, run), run.task, None)
-            if gen is not None:
-                yield from gen
-        finally:
-            cluster.hpus.release(req)
-        self._record_stats("cleanup", run.ctx.name, sim.now - t0, cost.instructions)
+        if handler is not None:
+            sim = self.sim
+            cluster = self.clusters[run.cluster]
+            req = cluster.hpus.request()
+            yield req
+            t0 = sim.now
+            try:
+                cost = handler.cost(run.task, None)
+                yield sim.timeout(cost.compute_ns(self.params.freq_ghz))
+                gen = handler.run(HandlerApi(self, run), run.task, None)
+                if gen is not None:
+                    yield from gen
+            finally:
+                cluster.hpus.release(req)
+            self._record_stats("cleanup", run.ctx.name, sim.now - t0, cost.instructions)
         # Release every pipeline parked on this run's gates, or packets
         # that arrived before the sweep stay blocked forever.
         if not run.hh_done.triggered:

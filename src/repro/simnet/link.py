@@ -9,12 +9,14 @@ on the egress port, which is precisely the mechanism behind the paper's
 observed IPC collapse (Table I, IPC 0.06 for PBT payload handlers).
 
 The egress path is a fused callback chain rather than a server process:
-``send`` starts serialization immediately when the wire is idle,
+``enqueue`` starts serialization immediately when the wire is idle,
 otherwise appends to a deque; a single ``tx-done`` kernel event per
-packet fires the sender's completion, schedules the (closure-free)
-delivery, and starts the next packet.  That is 3 heap events per packet
-(tx-done, sender completion, delivery) versus the 5+ of the old
-Store+process design, with identical simulated timestamps.
+packet fires the sender's completion (when it asked for one), schedules
+the (closure-free) delivery, and starts the next packet.  That is 3 heap
+events per packet for a blocking sender (tx-done, sender completion,
+delivery) and 2 for a forwarding switch, which never waits on the wire
+(tx-done, delivery) — versus the 5+ of the old Store+process design,
+with identical simulated timestamps.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class Port:
         self._ns_per_byte = gbps_to_ns_per_byte(bandwidth_gbps)
         self.queue_packets = queue_packets
         #: packets accepted but not yet on the wire (excludes in-service)
-        self._q: Deque[Tuple[Packet, Event]] = deque()
+        self._q: Deque[Tuple[Packet, Optional[Event]]] = deque()
         self._busy = False
         self._cur_pkt: Optional[Packet] = None
         self._cur_done: Optional[Event] = None
@@ -101,9 +103,21 @@ class Port:
     def send(self, pkt: Packet) -> Event:
         """Enqueue a packet for transmission.
 
-        Returns an event that fires when the packet has been *fully
-        serialized onto the wire* (not when delivered).  Yielding on it
-        models a sender that blocks until egress accepts its data.
+        Returns an event that fires, with the packet as its value, when
+        the packet has been *fully serialized onto the wire* (not when
+        delivered).  Yielding on it models a sender that blocks until
+        egress accepts its data.
+        """
+        done = Event(self.sim)
+        self.enqueue(pkt, done)
+        return done
+
+    def enqueue(self, pkt: Packet, done: Optional[Event] = None) -> None:
+        """Enqueue a packet for transmission, succeeding ``done`` (if
+        given) at the end of its serialization.
+
+        Callers that never wait on the wire (switch forwarding, train
+        re-sends) pass no event, so no completion entry is pushed.
         """
         if self._train is not None:
             # Cross-traffic invalidates the train's closed-form schedule:
@@ -111,7 +125,6 @@ class Port:
             # order matches the per-packet path exactly.
             self._train_abort()
         sim = self.sim
-        done = Event(sim)
         pkt.enqueue_t = sim.now
         if self._busy:
             self._q.append((pkt, done))
@@ -122,7 +135,6 @@ class Port:
             self._handles.get(tel.metrics)[0].set(
                 sim.now, len(self._q) + 1  # +1: the packet now in service
             )
-        return done
 
     def try_send(self, pkt: Packet) -> Optional[Event]:
         """Non-blocking enqueue; None when the egress queue is full."""
@@ -138,7 +150,7 @@ class Port:
         return nbytes * self._ns_per_byte
 
     # -- egress fast path -------------------------------------------------
-    def _start(self, pkt: Packet, done: Event) -> None:
+    def _start(self, pkt: Packet, done: Optional[Event]) -> None:
         self._busy = True
         self._cur_pkt = pkt
         self._cur_done = done
@@ -149,7 +161,7 @@ class Port:
         sim = self.sim
         pkt = self._cur_pkt
         done = self._cur_done
-        assert pkt is not None and done is not None
+        assert pkt is not None
         self.tx_packets += 1
         self.tx_bytes += pkt.size
         self.busy_ns += ser
@@ -172,7 +184,8 @@ class Port:
             nbytes.inc(pkt.size)
             npkts.inc()
             gauge.set(sim.now, len(self._q))
-        done.succeed(pkt)
+        if done is not None:
+            done.succeed(pkt)
         # Start serializing the next queued packet before dealing with
         # this one's fate on the wire (pipelined wire: propagation never
         # blocks the serializer).
@@ -221,7 +234,7 @@ class Port:
         means sender-paced (packet ``i+1`` is offered the instant ``i``
         finishes serializing, like the NIC's send loop).  ``enq_push``
         gives, per packet, when the slow path would have *pushed* the
-        enqueue callback (the switch pushes ``out.send`` one traversal
+        enqueue callback (the switch pushes ``out.enqueue`` one traversal
         before it fires) — it decides whether an enqueue gauge sample
         precedes a tx-done sample landing on the same timestamp; None
         means enqueues are pushed at their fire time and lose ties, like
@@ -327,11 +340,11 @@ class Port:
         if st.avail is not None:
             # Forwarding hop: packets that already reached this port go
             # back into the real queue ahead of the competing sender (as
-            # FIFO demands); not-yet-arrived ones re-enter via send() at
+            # FIFO demands); not-yet-arrived ones re-enter via enqueue() at
             # their availability times.
             for j in range(st.cut, min(cut_old, st.have)):
                 if st.avail[j] <= now:
-                    self.send(st.pkts[j])
+                    self.enqueue(st.pkts[j])
                 else:
                     sim._call_at1(self._train_late_send, (st, j), st.avail[j])
         if st.on_abort is not None:
@@ -384,7 +397,7 @@ class Port:
         st, j = arg
         if j >= st.have:
             return  # an upstream abort cut it; the origin re-sends it
-        self.send(st.pkts[j])
+        self.enqueue(st.pkts[j])
 
     def _apply_train_stats(self, st: PacketTrain, upto: int) -> None:
         """Apply per-packet tx statistics/telemetry for ``[applied, upto)``

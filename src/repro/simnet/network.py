@@ -104,14 +104,14 @@ class Switch:
         if out is None:
             raise KeyError(f"{self.name}: no route to {pkt.dst!r}")
         # Fixed traversal latency, then output queueing (closure-free).
-        self.sim._call_soon1(out.send, pkt, delay=self.cfg.switch_latency_ns)
+        self.sim._call_soon1(out.enqueue, pkt, delay=self.cfg.switch_latency_ns)
 
     def forward_train(self, st: PacketTrain) -> None:
         """Forward a coalesced train: one traversal charge for the burst.
 
         Runs at the train's first arrival.  Re-coalesces onto the output
         port when possible (availability times = per-packet arrival +
-        traversal latency); otherwise falls back to one ``out.send`` per
+        traversal latency); otherwise falls back to one ``out.enqueue`` per
         packet at exactly the slow path's times.  An upstream abort
         propagates through ``on_abort``: packets the sender never put on
         the wire are un-counted here and cut from the downstream train —
@@ -141,7 +141,7 @@ class Switch:
         if k == len(pkts):
             avail = [a + sl for a in st.arr]
             # enq_push = upstream arrival: the slow path pushes each
-            # ``out.send`` callback when ``forward`` runs, one traversal
+            # ``out.enqueue`` callback when ``forward`` runs, one traversal
             # latency before it fires.
             down = out.try_send_train(
                 pkts, avail=avail, sender_event=False, enq_push=st.arr
@@ -182,7 +182,7 @@ class Switch:
         st, j, out = arg
         if j >= st.cut:
             return  # cut upstream; the origin re-sends it the slow way
-        out.send(st.pkts[j])
+        out.enqueue(st.pkts[j])
 
     def _forward_train_slow_step(self, arg: Tuple[Any, int]) -> None:
         st, j = arg

@@ -10,7 +10,7 @@ windows.
 
 **Lookahead.**  A packet crossing the cut is known one switch-traversal
 latency before it can have any effect on the destination partition: the
-serial switch schedules ``out.send(pkt)`` at ``arrival +
+serial switch schedules ``out.enqueue(pkt)`` at ``arrival +
 switch_latency_ns``.  With ``t_min`` the earliest pending event (or
 boundary fire time) across all partitions, every partition can safely
 run the window ``[t_min, t_min + switch_latency_ns)`` — any boundary
@@ -18,7 +18,7 @@ message generated inside the window fires at or after the horizon.
 
 **Determinism.**  Boundary messages carry their exact serial fire time
 and are injected into the destination heap — via the same absolute-time
-``_call_at1(out.send, pkt, t)`` push the serial switch uses — sorted by
+``_call_at1(out.enqueue, pkt, t)`` push the serial switch uses — sorted by
 ``(fire_t, source_rank, source_seq)``.  Packet / message / RDMA-request
 ids are drawn from per-partition strided streams so id allocation is
 order-independent.  The differential suite
@@ -119,7 +119,7 @@ class PartitionSwitch(Switch):
     :meth:`~repro.simnet.network.Switch.forward` path.  A packet for an
     endpoint owned by another partition becomes a boundary message
     stamped with its serial fire time (``now + switch_latency_ns``); the
-    coordinator replays the identical ``out.send`` push in the owning
+    coordinator replays the identical ``out.enqueue`` push in the owning
     partition before the window containing that time.  Coalesced trains
     hit the inherited ``forward_train`` out-of-partition fallback, which
     de-coalesces into per-packet :meth:`forward` calls at the exact
@@ -147,7 +147,7 @@ class PartitionSwitch(Switch):
             tel = self.sim.telemetry
             if tel.enabled:
                 self._handles.get(tel.metrics)[0].inc()
-            self.sim._call_soon1(out.send, pkt, delay=self.cfg.switch_latency_ns)
+            self.sim._call_soon1(out.enqueue, pkt, delay=self.cfg.switch_latency_ns)
             return
         dst_rank = self._rank_of.get(pkt.dst)
         routable = dst_rank is not None and dst_rank != self._rank
@@ -496,14 +496,14 @@ class ParallelSimulator:
         return due
 
     def _inject(self, sim: Simulator, rank: int, msgs: List[tuple]) -> None:
-        # replay the exact push the serial switch makes: out.send(pkt)
+        # replay the exact push the serial switch makes: out.enqueue(pkt)
         # at the absolute fire time, in (fire_t, src_rank, src_seq) order
         ports = self._net.switches[rank]._out_ports
         san = sim.sanitizer
         for m in msgs:
             if san is not None and m[_FIRE_T] < sim.now - 1e-9:
                 san.record_stale_injection(m[_FIRE_T], m[_DST], sim.now)
-            sim._call_at1(ports[m[_DST]].send, m[_PKT], m[_FIRE_T])
+            sim._call_at1(ports[m[_DST]].enqueue, m[_PKT], m[_FIRE_T])
 
     def _window_inline(self, rank: int, horizon: float, inclusive: bool) -> None:
         sim = self.sims[rank]

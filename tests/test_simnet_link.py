@@ -87,15 +87,16 @@ def test_send_event_fires_at_serialization_end():
     port = Port(sim, "a", bandwidth_gbps=400)
     port.connect(sink, latency_ns=1000)
     t_done = []
+    pkt = _pkt(2048 - 64)
 
     def sender():
-        yield port.send(_pkt(2048 - 64))
-        t_done.append(sim.now)
+        sent = yield port.send(pkt)
+        t_done.append((sim.now, sent))
 
     sim.process(sender())
     sim.run()
     # sender unblocked at serialization end, not delivery
-    assert t_done == [pytest.approx(40.96)]
+    assert t_done == [(pytest.approx(40.96), pkt)]
 
 
 def test_try_send_full_queue_returns_none():
@@ -218,3 +219,30 @@ def test_congestion_two_senders_one_receiver():
 
     t1, t2 = run(1), run(2)
     assert t2 / t1 == pytest.approx(2.0, rel=0.05)
+
+
+def test_switched_packet_allocates_no_completion_event(monkeypatch):
+    from repro.simnet.engine import Event
+
+    sim = Simulator()
+    net = Network(sim, NetConfig(bandwidth_gbps=400, link_latency_ns=20,
+                                 switch_latency_ns=100))
+    b = TimestampSink(sim, "b")
+    port_a = net.register(Sink("a"))
+    net.register(b)
+    made = []
+    init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    port_a.enqueue(_pkt(2048 - 64, src="a", dst="b"))
+    sim.run()
+    ser = 2048 * 0.02
+    assert b.times == [pytest.approx(ser + 20 + 100 + ser + 20)]
+    assert made == []
+    # uplink tx-done, switch arrival, output enqueue, switch tx-done,
+    # delivery: no completion entry for the forwarding hop
+    assert sim.events_dispatched == 5
