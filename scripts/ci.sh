@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, trace-export smoke, simsan sanitize stage,
-# telemetry-overhead guard, parallel-sweep smoke, simulator perf guard.
+# CI gate: API-doc freshness, tier-1 tests, trace-export smoke, simsan
+# sanitize stage, telemetry-overhead guard, parallel-sweep smoke,
+# simulator perf guard.
 #
 # Usage: scripts/ci.sh            (from the repo root)
 set -euo pipefail
@@ -26,6 +27,10 @@ if python -m mypy --version > /dev/null 2>&1; then
 else
     echo "mypy not installed; skipping (pip install -e .[lint] to enable)"
 fi
+
+echo
+echo "== API reference freshness (docs/API.md regenerated from docstrings) =="
+python scripts/gen_api_docs.py --check
 
 echo
 echo "== tier-1 test suite =="

@@ -5,16 +5,20 @@ Walks every ``repro`` module, emitting a markdown reference with module
 summaries, public class/function signatures, and their first docstring
 paragraphs.  Run after API changes:
 
-    python scripts/gen_api_docs.py
+    python scripts/gen_api_docs.py           # rewrite docs/API.md
+    python scripts/gen_api_docs.py --check   # exit 1 if it is stale
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import pkgutil
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import repro
 
@@ -73,7 +77,7 @@ def document_module(modname: str, lines: list[str]) -> None:
                 lines.append(doc + "\n")
 
 
-def main() -> int:
+def render() -> str:
     lines = [
         "# API reference",
         "",
@@ -87,11 +91,30 @@ def main() -> int:
         if ".__main__" in name or name.endswith("__main__"):
             continue
         document_module(name, lines)
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: Sequence[str] = ()) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="do not write; exit 1 if docs/API.md differs")
+    args = ap.parse_args(list(argv))
+    text = render()
+    if args.check:
+        old = OUT.read_text() if OUT.exists() else ""
+        if old == text:
+            print(f"{OUT} is up to date")
+            return 0
+        diff = difflib.unified_diff(old.splitlines(), text.splitlines(),
+                                    "docs/API.md", "generated", lineterm="")
+        print("\n".join(list(diff)[:40]))
+        print(f"{OUT} is stale: run python scripts/gen_api_docs.py")
+        return 1
     OUT.parent.mkdir(exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {OUT} ({len(lines)} lines)")
+    OUT.write_text(text)
+    print(f"wrote {OUT} ({len(text.splitlines())} lines)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -26,6 +26,7 @@ from typing import Optional
 from ..analysis import shapes
 from ..dfs.layout import ReplicationSpec
 from ..params import SimParams
+from ..telemetry import summarize
 from ..workloads import measure_goodput, payload_bytes
 from .common import KiB, fresh_client, render_rows
 
@@ -68,8 +69,6 @@ def run(params: Optional[SimParams] = None, quick: bool = False) -> list[dict]:
             row[f"{col}_instr"] = st.mean_instructions()
             row[f"{col}_ipc"] = st.mean_ipc(freq)
         # Fig. 11 shows *distributions*; record the PH spread too
-        from ..simnet.trace import summarize
-
         ph = summarize(accel.stats["payload:dfs"].durations_ns)
         row["PH_p50"] = ph["median"]
         row["PH_p99"] = ph["p99"]

@@ -32,6 +32,7 @@ from ..dfs.layout import FileLayout, ReplicationSpec
 from ..dfs.monitor import MonitorConfig, install_monitor
 from ..dfs.replicator import ReplicatorConfig, ReReplicator
 from ..params import SimParams
+from ..telemetry import summarize
 from ..workloads import LoadSpec, closed_loop_write_load, payload_bytes
 from .common import KiB, MiB, installer_for, render_rows
 
@@ -85,7 +86,6 @@ def points(quick: bool = False, partitions: int = 1) -> list[dict]:
 
 def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     from ..runner import point_seed
-    from ..simnet.trace import summarize
     from ..telemetry.anatomy import decompose, phase_summary
     from .common import engine_neutral
 

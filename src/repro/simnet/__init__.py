@@ -25,7 +25,6 @@ from .packet import (
 )
 from .resources import Container, Request, Resource, Store
 from .topology import LeafSpineNetwork
-from .trace import Timeline, Tracer, summarize
 
 __all__ = [
     "AllOf",
@@ -46,13 +45,10 @@ __all__ = [
     "Simulator",
     "Store",
     "Switch",
-    "Timeline",
     "Timeout",
-    "Tracer",
     "TRANSPORT_HEADER_BYTES",
     "as_payload",
     "fresh_msg_id",
     "gbps_to_ns_per_byte",
     "segment_message",
-    "summarize",
 ]

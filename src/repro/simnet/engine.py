@@ -30,6 +30,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -155,9 +156,6 @@ class Event:
         else:
             cbs.append(fn)
 
-    def _dispatched(self) -> bool:
-        return self.triggered and self.callbacks is _DISPATCHED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
         if self.triggered:
@@ -166,13 +164,14 @@ class Event:
 
 
 _DISPATCHED: list = []  # sentinel assigned to Event.callbacks after dispatch
+_INF = float("inf")
 
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    The constructor is fully inlined (no ``super().__init__`` /
-    ``_schedule_event`` calls, no per-instance name formatting): timeouts
+    The constructor is fully inlined (no ``super().__init__`` call, no
+    per-instance name formatting, the heap push done in place): timeouts
     are the single most-allocated object in a packet simulation, and the
     old ``f"timeout({delay})"`` name alone cost more than the heap push.
     """
@@ -364,10 +363,10 @@ class Simulator:
         #: per-simulation observability sink (disabled by default; flip
         #: ``sim.telemetry.enabled`` to start recording spans/metrics)
         self.telemetry = Telemetry(enabled=False)
-        #: runtime sanitizer (see repro.simsan); None = off, zero cost.
-        #: When set, run()/run_window()/run_until_event() delegate to the
-        #: sanitizer's instrumented loops and the resource primitives
-        #: record acquisition backtraces.
+        #: runtime sanitizer (see repro.simsan); None = off.  When set,
+        #: the dispatch loop hands every popped entry to its ``_step``
+        #: (one ``is None`` test per event when off) and the resource
+        #: primitives record acquisition backtraces.
         self.sanitizer = None
         if sanitize:
             from ..simsan import Sanitizer
@@ -411,10 +410,6 @@ class Simulator:
     # tuple comparison.  The 4-tuple form lets hot callers schedule a
     # bound method with one argument without allocating a closure per
     # call (the old ``lambda: fn(arg)`` pattern).
-    def _schedule_event(self, ev: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
-
     def _call_soon(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
@@ -451,61 +446,42 @@ class Simulator:
         return ev
 
     # -- running ---------------------------------------------------------
-    def _step(self) -> None:
-        heap = self._heap
-        if len(heap) > self._heap_high_water:
-            self._heap_high_water = len(heap)
-        entry = heapq.heappop(heap)
-        t = entry[0]
-        if t < self.now - 1e-9:
-            raise SimulationError("time went backwards")
-        self.now = t
-        self.events_dispatched += 1
-        item = entry[2]
-        if isinstance(item, Event):
-            self._dispatch(item)
-        elif len(entry) == 3:
-            item()
-        else:
-            item(entry[3])
+    def _loop(self, bound: float, stop: Optional[Event]) -> None:
+        """Dispatch heap entries while one is due at ``t <= bound`` and
+        ``stop`` (if given) has not triggered — the kernel's only
+        dispatch loop.
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the event heap drains or ``until`` (exclusive) is hit.
-
-        Returns the final simulation time.  Unhandled process failures
-        are re-raised here.  Note: background service processes (egress
-        servers, sweepers) can keep the heap non-empty forever — use
-        :meth:`run_until_event` to wait for a specific outcome.
+        Stepping and the dispatch body are inlined: one method call per
+        event is measurable at millions of events per run.  High-water
+        and dispatch counters run on locals and are written back on exit
+        for the same reason.  With a sanitizer attached, each popped
+        entry is handed to its ``_step`` instead, which checks the
+        clock, attributes the entry's pushes, and dispatches it.
         """
-        if self.sanitizer is not None:
-            return self.sanitizer.run(until)
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # Stepping AND the dispatch body are inlined here (and in
-        # run_until_event): one method call per event is measurable at
-        # millions of events per run.  High-water and dispatch counters
-        # run on locals and are written back on exit for the same
-        # reason.  Keep in sync with _step()/_dispatch().
         heap = self._heap
         pop = heapq.heappop
         hw = self._heap_high_water
         ndisp = self.events_dispatched
+        san = self.sanitizer
+        step = None if san is None else san._step
         try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    break
+            while heap and heap[0][0] <= bound and (stop is None or not stop.triggered):
                 entry = pop(heap)
                 n = len(heap)
                 if n >= hw:
                     hw = n + 1
+                ndisp += 1
+                if step is not None:
+                    step(entry)
+                    continue
                 t = entry[0]
                 if t < self.now - 1e-9:
                     raise SimulationError("time went backwards")
                 self.now = t
-                ndisp += 1
                 item = entry[2]
                 if isinstance(item, Event):
                     callbacks = item.callbacks
@@ -514,20 +490,35 @@ class Simulator:
                         for cb in callbacks:
                             cb(item)
                     elif item._exc is not None:
+                        # Nobody was waiting: crashes are never silently
+                        # swallowed (an unobserved failed Process too).
                         if not isinstance(item, Process) or not item._observed:
                             raise item._exc
                 elif len(entry) == 3:
                     item()
                 else:
                     item(entry[3])
-            else:
-                if until is not None:
-                    self.now = max(self.now, until)
         finally:
             self._heap_high_water = hw
             self.events_dispatched = ndisp
             self._running = False
             self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the event heap drains or the next event lies past
+        ``until``.
+
+        ``until`` is inclusive: events at ``t == until`` are dispatched.
+        On return ``now`` is ``max(now, until)``, so a past ``until``
+        dispatches nothing and leaves the clock alone.  Returns the final
+        simulation time.  Unhandled process failures are re-raised here.
+        Note: background service processes (egress servers, sweepers) can
+        keep the heap non-empty forever — use :meth:`run_until_event` to
+        wait for a specific outcome.
+        """
+        self._loop(_INF if until is None else until, None)
+        if until is not None and until > self.now:
+            self.now = until
         return self.now
 
     def run_window(self, horizon: float, inclusive: bool = False) -> float:
@@ -541,50 +532,8 @@ class Simulator:
         does) would put later boundary injections in this partition's
         past.  Events at or beyond the bound stay queued untouched.
         """
-        if self.sanitizer is not None:
-            return self.sanitizer.run_window(horizon, inclusive)
-        if self._running:
-            raise SimulationError("run() called re-entrantly")
-        self._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # inlined stepping + dispatch — keep in sync with _step()/_dispatch()
-        heap = self._heap
-        pop = heapq.heappop
-        hw = self._heap_high_water
-        ndisp = self.events_dispatched
-        try:
-            while heap:
-                t0 = heap[0][0]
-                if t0 > horizon or (t0 == horizon and not inclusive):
-                    break
-                entry = pop(heap)
-                n = len(heap)
-                if n >= hw:
-                    hw = n + 1
-                t = entry[0]
-                if t < self.now - 1e-9:
-                    raise SimulationError("time went backwards")
-                self.now = t
-                ndisp += 1
-                item = entry[2]
-                if isinstance(item, Event):
-                    callbacks = item.callbacks
-                    item.callbacks = _DISPATCHED
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(item)
-                    elif item._exc is not None:
-                        if not isinstance(item, Process) or not item._observed:
-                            raise item._exc
-                elif len(entry) == 3:
-                    item()
-                else:
-                    item(entry[3])
-        finally:
-            self._heap_high_water = hw
-            self.events_dispatched = ndisp
-            self._running = False
-            self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
+        # for floats, t < horizon is exactly t <= nextafter(horizon, -inf)
+        self._loop(horizon if inclusive else math.nextafter(horizon, -_INF), None)
         return self.now
 
     def run_until_event(self, ev: Event, limit: Optional[float] = None) -> Any:
@@ -593,55 +542,13 @@ class Simulator:
         ``limit`` bounds simulated time; exceeding it raises
         :class:`SimulationError`, as does a drained heap (deadlock).
         """
-        if self.sanitizer is not None:
-            return self.sanitizer.run_until_event(ev, limit)
-        if self._running:
-            raise SimulationError("run() called re-entrantly")
-        self._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # inlined stepping + dispatch — keep in sync with _step()/_dispatch()
-        heap = self._heap
-        pop = heapq.heappop
-        hw = self._heap_high_water
-        ndisp = self.events_dispatched
-        try:
-            while not ev.triggered:
-                if not heap:
-                    raise SimulationError(
-                        f"deadlock: event {ev.name!r} can never fire (heap empty)"
-                    )
-                if limit is not None and heap[0][0] > limit:
-                    raise SimulationError(
-                        f"event {ev.name!r} did not fire by t={limit} ns"
-                    )
-                entry = pop(heap)
-                n = len(heap)
-                if n >= hw:
-                    hw = n + 1
-                t = entry[0]
-                if t < self.now - 1e-9:
-                    raise SimulationError("time went backwards")
-                self.now = t
-                ndisp += 1
-                item = entry[2]
-                if isinstance(item, Event):
-                    callbacks = item.callbacks
-                    item.callbacks = _DISPATCHED
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(item)
-                    elif item._exc is not None:
-                        if not isinstance(item, Process) or not item._observed:
-                            raise item._exc
-                elif len(entry) == 3:
-                    item()
-                else:
-                    item(entry[3])
-        finally:
-            self._heap_high_water = hw
-            self.events_dispatched = ndisp
-            self._running = False
-            self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
+        self._loop(_INF if limit is None else limit, ev)
+        if not ev.triggered:
+            if not self._heap:
+                raise SimulationError(
+                    f"deadlock: event {ev.name!r} can never fire (heap empty)"
+                )
+            raise SimulationError(f"event {ev.name!r} did not fire by t={limit} ns")
         if ev.exception is not None:
             raise ev.exception
         return ev.value
@@ -650,18 +557,6 @@ class Simulator:
         """Run until ``proc`` finishes; return its value or raise its error."""
         proc._observed = True
         return self.run_until_event(proc, limit=until)
-
-    def _dispatch(self, ev: Event) -> None:
-        callbacks = ev.callbacks
-        ev.callbacks = _DISPATCHED
-        if callbacks:
-            for cb in callbacks:
-                cb(ev)
-        elif ev._exc is not None:
-            # Nobody was waiting: crashes are never silently swallowed
-            # (an unobserved failed Process re-raises here too).
-            if not isinstance(ev, Process) or not ev._observed:
-                raise ev._exc
 
     def peek(self) -> float:
         """Time of the next scheduled item, or +inf if the heap is empty."""
@@ -674,7 +569,7 @@ class Simulator:
 
     @property
     def wall_seconds(self) -> float:
-        """Wall-clock time spent inside run()/run_until_event()."""
+        """Wall-clock time spent inside the dispatch loop."""
         return self._wall_s
 
     def profile(self) -> dict:

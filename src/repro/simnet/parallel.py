@@ -404,9 +404,6 @@ class ParallelSimulator:
         for sim in self.sims:
             sim.coalescing = on
 
-    def _schedule_event(self, ev: Event, delay: float = 0.0) -> None:
-        self.driver_sim._schedule_event(ev, delay)
-
     def _call_soon(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         self.driver_sim._call_soon(fn, delay)
 
@@ -569,19 +566,12 @@ class ParallelSimulator:
         try:
             while self._round(until):
                 pass
-            if until is not None:
-                # mirror the serial run(until) clock contract exactly —
-                # one GLOBAL decision, like the single serial heap: any
-                # event left beyond the bound anywhere -> now = until
-                # (even if that steps a partition's clock back); fully
-                # drained -> now = max(now, until)
-                drained = self._next_time() == float("inf")
-                self._sync_clocks(until, drained)
-            else:
-                # drained to empty: the serial clock stops at the last
-                # event anywhere — pull the idle partitions forward so
-                # driver code never schedules at a stale local clock
-                self._sync_clocks(self.now, drained=True)
+            # mirror the serial run(until) clock contract: the clock
+            # stops at max(now, until) (at the last event anywhere when
+            # until is None) — pull the idle partitions forward so driver
+            # code never schedules at a stale local clock
+            t = self.now if until is None else max(self.now, until)
+            self._sync_clocks(t, drained=True)
         finally:
             self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- coordinator self-profile
         return self.now

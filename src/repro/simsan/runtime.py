@@ -1,12 +1,14 @@
-"""The runtime sanitizer: instrumented kernel loops + claim tracking.
+"""The runtime sanitizer: a per-entry dispatch hook + claim tracking.
 
-Attached to a kernel via ``Simulator(sanitize=True)``.  The engine's
-hot loops are untouched when the sanitizer is off (``sim.sanitizer is
-None`` costs one attribute check per *run call*, not per event); when it
-is on, ``run()``/``run_window()``/``run_until_event()`` delegate to the
-instrumented loops here, which preserve the serial kernel's semantics
-exactly — same clock contract, same exception behaviour, same
-self-profile counters — while observing every heap pop.
+Attached to a kernel via ``Simulator(sanitize=True)``.  The sanitizer
+owns no run loop: the kernel's single dispatch loop hands every popped
+heap entry to :meth:`Sanitizer._step`, which runs the detectors below
+and then dispatches the entry exactly as the kernel would, recording
+which dispatch context made each new push.  Bounds, stop conditions,
+the clock contract, the re-entrancy guard and the self-profile counters
+all stay in the kernel, so sanitized and plain runs share them by
+construction.  With the sanitizer off the hook costs one ``is None``
+test per event.
 
 Detectors (see :mod:`repro.simsan.findings` for the kind strings):
 
@@ -39,8 +41,6 @@ produces byte-identical schedules/digests to an unsanitized one.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import time
 import traceback
 from typing import Any, Optional
 
@@ -204,87 +204,12 @@ class Sanitizer:
             f"behind destination clock now={now}",
         )
 
-    # ------------------------------------------------------ kernel loops
-    # These mirror Simulator.run/run_window/run_until_event exactly: the
-    # clock contracts and exception behaviour must be indistinguishable
-    # from the uninstrumented kernel.  Keep in sync with engine.py.
-    def run(self, until: Optional[float] = None) -> float:
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        heap = sim._heap
-        pop = heapq.heappop
-        step = self._step
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    sim.now = until
-                    break
-                step(pop(heap))
-            else:
-                if until is not None:
-                    sim.now = max(sim.now, until)
-        finally:
-            sim._running = False
-            sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        return sim.now
-
-    def run_window(self, horizon: float, inclusive: bool = False) -> float:
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        heap = sim._heap
-        pop = heapq.heappop
-        step = self._step
-        try:
-            while heap:
-                t0 = heap[0][0]
-                if t0 > horizon or (t0 == horizon and not inclusive):
-                    break
-                step(pop(heap))
-        finally:
-            sim._running = False
-            sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        return sim.now
-
-    def run_until_event(self, ev: Event, limit: Optional[float] = None) -> Any:
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        heap = sim._heap
-        pop = heapq.heappop
-        step = self._step
-        try:
-            while not ev.triggered:
-                if not heap:
-                    raise SimulationError(
-                        f"deadlock: event {ev.name!r} can never fire (heap empty)"
-                    )
-                if limit is not None and heap[0][0] > limit:
-                    raise SimulationError(
-                        f"event {ev.name!r} did not fire by t={limit} ns"
-                    )
-                step(pop(heap))
-        finally:
-            sim._running = False
-            sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        if ev.exception is not None:
-            raise ev.exception
-        return ev.value
-
     # ------------------------------------------------------- per-pop step
     def _step(self, entry: tuple) -> None:
+        """Check, attribute and dispatch one entry the kernel loop popped
+        (the loop itself keeps the high-water and dispatch counters)."""
         sim = self.sim
         heap = sim._heap
-        n = len(heap) + 1  # heap size before this pop
-        if n > sim._heap_high_water:
-            sim._heap_high_water = n
         t = entry[0]
         seq = entry[1]
         item = entry[2]
@@ -333,7 +258,7 @@ class Sanitizer:
         self._h.update(f"{t!r}|{olabel}|{_item_label(item)};".encode())
         self._win_pops += 1
 
-        # -- dispatch (mirrors the engine, with push attribution) -----
+        # -- dispatch, with push attribution --------------------------
         if t < sim.now - 1e-9:
             self._find(
                 "clock-rewind",
@@ -341,7 +266,6 @@ class Sanitizer:
             )
             raise SimulationError("time went backwards")
         sim.now = t
-        sim.events_dispatched += 1
         dlabel = _item_label(item)
         if isinstance(item, Event):
             callbacks = item.callbacks

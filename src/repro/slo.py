@@ -66,7 +66,7 @@ class SloSpec:
 
     ``budgets`` maps ``"<phase>.<stat>"`` keys — any phase from
     :data:`repro.telemetry.PHASES` plus ``end_to_end``, any stat from
-    :func:`repro.simnet.trace.summarize` — to ceilings in nanoseconds.
+    :func:`repro.telemetry.summarize` — to ceilings in nanoseconds.
     """
 
     budgets: Dict[str, float] = field(default_factory=dict)

@@ -38,7 +38,14 @@ from .anatomy import (
 )
 from .export import dump_metrics, metrics_snapshot, utilization_report
 from .merge import PARTITION_ID_STRIDE, MergedTelemetry, merge_telemetry
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    percentile,
+    summarize,
+)
 from .perfetto import chrome_trace, trace_events, write_chrome_trace
 from .spans import Span, Telemetry, TraceContext
 
@@ -63,7 +70,9 @@ __all__ = [
     "dump_metrics",
     "merge_telemetry",
     "metrics_snapshot",
+    "percentile",
     "phase_summary",
+    "summarize",
     "trace_events",
     "utilization_report",
     "write_chrome_trace",

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .metrics import summarize
 from .spans import Span, Telemetry
 
 __all__ = [
@@ -301,8 +302,6 @@ def phase_summary(ops: List[OpAnatomy]) -> Dict[str, Dict[str, Optional[float]]]
     Returns ``{phase: summarize(...)}`` for every phase plus an
     ``end_to_end`` entry — the shape consumed by :mod:`repro.slo`.
     """
-    from ..simnet.trace import summarize
-
     out: Dict[str, Dict[str, Optional[float]]] = {}
     for phase in PHASES:
         out[phase] = summarize([op.phases.get(phase, 0.0) for op in ops])

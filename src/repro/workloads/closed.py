@@ -31,6 +31,7 @@ from ..dfs.client import DfsClient
 from ..dfs.cluster import Testbed
 from ..protocols.base import WriteOutcome
 from ..simnet.engine import Event
+from ..telemetry import summarize
 
 __all__ = [
     "measure_write_latency",
@@ -152,11 +153,9 @@ def measure_latency_distribution(
 
     Unlike :func:`measure_goodput` this records every operation's
     latency (from the outcome objects), returning the
-    :func:`~repro.simnet.trace.summarize` statistics — useful for tail
+    :func:`~repro.telemetry.summarize` statistics — useful for tail
     behaviour under contention (p99 vs median).
     """
-    from ..simnet.trace import summarize
-
     sim = testbed.sim
     in_flight: List[Event] = [issue(i) for i in range(min(window, n_ops))]
     issued = len(in_flight)
@@ -220,8 +219,6 @@ class ClientLoadStats:
     latencies: List[float] = field(default_factory=list)
 
     def summary(self, measure_ns: float) -> dict:
-        from ..simnet.trace import summarize
-
         out = summarize(self.latencies)
         out["ops"] = self.ops
         out["issued"] = self.issued
@@ -274,8 +271,6 @@ def run_closed_loop(
     think times from its own seeded generator, and the simulator's event
     order does the rest.
     """
-    from ..simnet.trace import summarize
-
     sim = testbed.sim
     # The load workers live with the client hosts on the driver
     # partition: under the partitioned engine their clock reads must

@@ -74,6 +74,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..simnet.engine import Event
+from ..telemetry import summarize
 from .streams import (
     TAG_CLASS,
     TAG_GAP,
@@ -550,8 +551,6 @@ class _Run:
 
     # ------------------------------------------------------------- finish
     def finish(self, procs: List) -> OpenLoopResult:
-        from ..simnet.trace import summarize
-
         sim = self.testbed.sim
         done = sim.all_of(procs)
         sim.run_until_event(done)

@@ -160,3 +160,7 @@ def test_api_doc_generator_runs(tmp_path):
     text = mod.OUT.read_text()
     assert "repro.core.handlers" in text
     assert "DfsPolicy" in text
+    assert mod.main(["--check"]) == 0
+    mod.OUT.write_text(text.replace("DfsPolicy", "StalePolicy"))
+    assert mod.main(["--check"]) == 1
+    assert "StalePolicy" in mod.OUT.read_text()  # --check never writes

@@ -330,6 +330,14 @@ class TestParallelSimulator:
         for s in psim.sims:
             assert s.now == 500.0
 
+    def test_past_until_leaves_clocks_alone(self):
+        # the serial run(until) contract: now = max(now, until)
+        psim = _psim()
+        psim.sims[1]._call_soon(lambda: None, delay=30.0)
+        assert psim.run(until=20.0) == 20.0
+        assert psim.run(until=5.0) == 20.0
+        assert [s.now for s in psim.sims] == [20.0, 20.0]
+
     def test_timers_across_partitions(self):
         psim = _psim(k=2, n=4)
         fired = []

@@ -29,12 +29,20 @@ def test_parallel_rows_identical_to_serial(monkeypatch):
     assert runner.LAST_STATS.n_computed == len(serial)
 
 
-def test_small_sweeps_skip_the_pool():
+def test_small_sweeps_skip_the_pool(monkeypatch):
     """Pool spin-up is skipped (and recorded as serial) when workers
     would get fewer than two points each."""
+    # no cost estimate and no warm pool left by earlier tests: otherwise
+    # the break-even heuristic, not the few-points rule, decides; and 16
+    # cores, so the core-count clamp keeps all 16 requested workers
+    # (on a 2-core host the 4 quick points would be 2 per worker)
+    monkeypatch.setattr(runner, "_COST_EMA", {})
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 16)
+    runner.shutdown_pool()
     rows = fig06.run(quick=True, jobs=16, cache=False)
     assert len(rows) < 2 * 16
     assert runner.LAST_STATS.jobs == 1
+    assert runner.LAST_STATS.pool_decision == "serial:few-points"
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):

@@ -778,7 +778,7 @@ class TestTreeGate:
         assert set(by_rule) == {"SIM101", "SIM401"}
         assert by_rule["SIM101"] == {
             "engine.py", "parallel.py", "runner.py", "perfsnap.py",
-            "__main__.py", "runtime.py",
+            "__main__.py",
         }
         assert by_rule["SIM401"] == {"accelerator.py"}
 

@@ -208,6 +208,28 @@ def test_run_until_limits_time():
     assert log == ["fired"] and sim.now == 10.0
 
 
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_run_until_is_inclusive(sanitize):
+    sim = Simulator(sanitize=sanitize)
+    fired = []
+    for t in (10.0, 10.5):
+        sim.timeout(t).add_callback(lambda ev: fired.append(sim.now))
+    assert sim.run(until=10.0) == 10.0
+    assert fired == [10.0]  # the event AT the bound is dispatched
+    assert sim.peek() == 10.5
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_run_until_never_moves_the_clock_back(sanitize):
+    sim = Simulator(sanitize=sanitize)
+    sim.timeout(30.0)
+    assert sim.run(until=20.0) == 20.0  # stopped by the bound
+    assert sim.run(until=5.0) == 20.0  # a past bound dispatches nothing...
+    assert sim.now == 20.0 and sim.events_dispatched == 0  # ...and keeps now
+    assert sim.run() == 30.0
+    assert sim.run(until=5.0) == 30.0  # drained heap: same contract
+
+
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -387,3 +409,84 @@ def test_interrupt_while_holding_resource():
     sim.process(killer())
     sim.run()
     assert log == ["interrupted", ("other-in", 5.0)]
+
+
+# -- one dispatch loop: plain and sanitized kernels are indistinguishable --
+def _ticks(sim):
+    """Two tickers whose timeouts tie at t = 10, 20 and 30."""
+
+    def ticker(period, n):
+        for _ in range(n):
+            yield sim.timeout(period)
+        return period
+
+    a = sim.process(ticker(5.0, 6), name="a")
+    sim.process(ticker(10.0, 3), name="b")
+    return a
+
+
+def _failing(sim):
+    _ticks(sim)
+
+    def crash():
+        yield sim.timeout(12.0)
+        raise ValueError("boom")
+
+    sim.process(crash(), name="crash")  # nobody waits on it
+    return sim.event("never")
+
+
+def _reentrant(sim):
+    _ticks(sim)
+
+    def nested():
+        yield sim.timeout(7.0)
+        sim.run()
+
+    sim.process(nested(), name="nested")
+
+
+#: name -> (set-up, entry point, expected (now, events_dispatched))
+ENTRY_POINTS = {
+    "run": (_ticks, lambda sim, a: sim.run(), (30.0, 13)),
+    "run_until_bound": (_ticks, lambda sim, a: sim.run(until=20.0), (20.0, 8)),
+    "run_until_drained": (_ticks, lambda sim, a: sim.run(until=50.0), (50.0, 13)),
+    "run_window_exclusive_tie": (
+        _ticks, lambda sim, a: sim.run_window(10.0), (5.0, 3)),
+    "run_window_inclusive_tie": (
+        _ticks, lambda sim, a: sim.run_window(10.0, inclusive=True), (10.0, 5)),
+    "run_until_event": (_ticks, lambda sim, a: sim.run_until_event(a), (30.0, 11)),
+    "run_until_event_deadlock": (
+        _ticks, lambda sim, a: sim.run_until_event(sim.event("never")), (30.0, 13)),
+    "run_until_event_limit": (
+        _ticks, lambda sim, a: sim.run_until_event(a, limit=12.0), (10.0, 5)),
+    "run_until_event_unobserved_failure": (
+        _failing, lambda sim, ev: sim.run_until_event(ev), (12.0, 8)),
+    "reentrant_run": (_reentrant, lambda sim, a: sim.run(), (7.0, 6)),
+}
+
+
+def _outcome(sanitize, name):
+    setup, entry, _ = ENTRY_POINTS[name]
+    sim = Simulator(sanitize=sanitize)
+    arg = setup(sim)
+    try:
+        result, err = entry(sim, arg), None
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        result, err = None, (type(exc), str(exc))
+    return {
+        "result": result,
+        "error": err,
+        "now": sim.now,
+        "events_dispatched": sim.events_dispatched,
+        "heap_high_water": sim.heap_high_water,
+        "running": sim._running,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_sanitized_loop_matches_plain(name):
+    plain = _outcome(False, name)
+    assert plain == _outcome(True, name)
+    assert (plain["now"], plain["events_dispatched"]) == ENTRY_POINTS[name][2]
+    assert not plain["running"]
